@@ -2,8 +2,8 @@
 
 The paper reports 30-run means; a reproduction should also say whether a
 difference is *significant*.  This module wraps Welch's unequal-variance
-t-test (via scipy) for pairs of run-time samples and renders a compact
-verdict per benchmark.
+t-test (via scipy, the optional ``stats`` extra) for pairs of run-time
+samples and renders a compact verdict per benchmark.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ExperimentError
 from repro.exp.runner import CellResult
@@ -67,6 +66,11 @@ def compare_samples(
             p_value=1.0 if equal else 0.0,
             significant=not equal,
         )
+    # imported here, not at module top: scipy.stats costs over a second
+    # and most of the import-time memory of every CLI and service start,
+    # and only this offline test needs it
+    from scipy import stats
+
     t, p = stats.ttest_ind(a, b, equal_var=False)
     return Comparison(
         label=label,

@@ -6,9 +6,12 @@ call :class:`~repro.serve.server.SchedulingService` directly.
 
 Resilience built in:
 
-* :meth:`ServiceClient.wait` polls with capped exponential backoff
-  instead of a fixed interval, and ``timeout=None`` means *no* timeout
-  machinery at all (the poll loop is not wrapped in ``wait_for``);
+* :meth:`ServiceClient.wait` is one ``wait`` request that the service
+  answers when the job is terminal — completion is pushed, never
+  polled for.  Its ``timeout`` travels with the request and expires on
+  the server, which answers with the still-pending record; cancelling
+  a read mid-request instead would leave the reply in the stream and
+  desync every later request on the connection;
 * :meth:`ServiceClient.submit_with_retry` retries transient failures —
   typed ``queue_full`` backpressure and dropped connections — with
   exponential backoff plus *full jitter* (``uniform(0, min(cap, base·2ⁿ))``)
@@ -36,6 +39,7 @@ from repro.sim.rng import pyrandom
 from repro.serve.protocol import (
     AdmissionRejected,
     JobRequest,
+    JobState,
     ProtocolError,
     raise_for_error,
     read_message,
@@ -152,7 +156,7 @@ class ServiceClient:
     async def request(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         """One request/response round trip; raises the typed error on nok."""
         await write_message(self._writer, payload)
-        response = await read_message(self._reader)
+        response = await read_message(self._reader, intern_keys=True)
         if response is None:
             raise ProtocolError("service closed the connection mid-request")
         return raise_for_error(response)
@@ -213,25 +217,25 @@ class ServiceClient:
         max_poll_interval: float = 0.5,
         timeout: float | None = None,
     ) -> dict[str, Any]:
-        """Poll until the job reaches a terminal state; returns its record.
+        """Block until the job reaches a terminal state; returns its record.
 
-        The poll interval starts at ``poll_interval`` and doubles up to
-        ``max_poll_interval``, so long waits stop hammering the service.
-        ``timeout=None`` polls forever with no ``wait_for`` wrapper at all.
+        One ``wait`` request, answered by the service when the job turns
+        terminal.  With ``timeout`` (seconds) the service answers with
+        the job's current record once it expires, and this raises
+        :class:`asyncio.TimeoutError`; the connection stays usable.
+        ``poll_interval`` and ``max_poll_interval`` are ignored: they
+        remain only so callers written for the former polling client
+        keep working.
         """
-
-        async def _poll() -> dict[str, Any]:
-            interval = poll_interval
-            while True:
-                job = await self.status(job_id)
-                if job["state"] in ("completed", "failed"):
-                    return job
-                await asyncio.sleep(interval)
-                interval = min(interval * 2.0, max_poll_interval)
-
-        if timeout is None:
-            return await _poll()
-        return await asyncio.wait_for(_poll(), timeout)
+        response = await self.request(
+            {"op": "wait", "job_id": job_id, "timeout": timeout}
+        )
+        job = response["job"]
+        if not JobState(job["state"]).terminal:
+            raise asyncio.TimeoutError(
+                f"job {job_id} still {job['state']} after {timeout}s"
+            )
+        return job
 
     async def metrics(self) -> dict[str, Any]:
         response = await self.request({"op": "metrics"})

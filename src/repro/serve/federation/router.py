@@ -51,6 +51,7 @@ mid-flight deaths, respawns and live joins byte-reproducible.
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -63,6 +64,7 @@ from repro.serve.federation.supervisor import ShardSupervisor
 from repro.serve.protocol import (
     AdmissionRejected,
     JobRequest,
+    JobState,
     ProtocolError,
 )
 
@@ -219,9 +221,9 @@ class FederationRouter:
         detection when closed-loop clients stop submitting because their
         in-flight jobs are stranded on a silently-crashed shard: no new
         placements, no heartbeats, no confirmation — a liveness deadlock.
-        Status traffic calls this to run one poll round whenever an
-        unconfirmed crash exists, so polling the very jobs a dead shard
-        stranded is what drives their recovery.
+        ``status`` and ``wait`` call this to run one poll round whenever
+        an unconfirmed crash exists, so waiting on the very jobs a dead
+        shard stranded is what drives their recovery.
         """
         if self.membership is not None and self._undetected_crashes():
             await self._heartbeat()
@@ -614,6 +616,39 @@ class FederationRouter:
         wire["placements"] = list(job.placements)
         wire["migrations"] = job.migrations
         return wire
+
+    async def wait(self, fed_id: str, timeout: float | None = None) -> dict[str, Any]:
+        """Block until the job is terminal; returns its :meth:`status` record.
+
+        Follows the job wherever the router moves it.  Each round pumps
+        detection, reads the status, then blocks on the current holder's
+        completion event; every re-placement (rebalance eviction, loud
+        kill, confirmed silent crash) first removes the local record,
+        which wakes the shard-level wait into the next round on the new
+        holder.  A job stranded on a silently crashed shard has no local
+        record to block on, so its rounds are pure detector pumps until
+        the death is confirmed and the job adopted.  When ``timeout``
+        seconds pass first, returns the record as it stands.
+        """
+        loop = asyncio.get_running_loop()
+        deadline = None if timeout is None else loop.time() + timeout
+        while True:
+            await self.pump_detection()
+            wire = self.status(fed_id)
+            remaining = None if deadline is None else deadline - loop.time()
+            if JobState(wire["state"]).terminal or (
+                remaining is not None and remaining <= 0
+            ):
+                return wire
+            job = self.jobs[fed_id]
+            try:
+                await self.instances[job.shard_id].service.wait(
+                    job.local_job_id, remaining
+                )
+            except ProtocolError:
+                # the record left that shard: re-placed, or stranded in a
+                # crash stash; yield to the event loop before the next round
+                await asyncio.sleep(0)
 
     @staticmethod
     def _stashed_record(handle: ShardHandle, local_job_id: str):

@@ -1,7 +1,9 @@
 """The federation's wire front-end: one port, the whole fleet behind it.
 
 :class:`FederationService` speaks the *existing* newline-JSON protocol —
-``submit`` / ``status`` / ``metrics`` / ``drain`` / ``ping``, plus the
+``submit`` / ``status`` / ``wait`` / ``metrics`` / ``drain`` / ``ping``
+(``wait`` follows a job across re-placements and keeps the failure
+detector pumping while it blocks), plus the
 federation-only ``membership`` op exposing the failure detector's view
 (member states, epochs, respawns, warm-migration counters) — so every
 client built for a single :class:`~repro.serve.server.SchedulingService`
@@ -21,20 +23,18 @@ previous snapshot or the new one, never torn JSON.
 from __future__ import annotations
 
 import asyncio
+import functools
 from pathlib import Path
 from typing import Any
 
-from repro.errors import ReproError
 from repro.ioutil import atomic_write_json
 from repro.serve.federation.router import FederationRouter
 from repro.serve.protocol import (
-    AdmissionRejected,
     JobRequest,
     ProtocolError,
-    error_response,
     ok_response,
-    read_message,
-    write_message,
+    serve_connection,
+    wait_timeout,
 )
 
 __all__ = ["FederationService"]
@@ -59,7 +59,9 @@ class FederationService:
     ) -> tuple[str, int]:
         """Start every shard, then the router listener; returns (host, port)."""
         await self.router.start(expose_shards=expose_shards, host=host)
-        self._server = await asyncio.start_server(self._handle_connection, host, port)
+        self._server = await asyncio.start_server(
+            functools.partial(serve_connection, dispatch=self._dispatch), host, port
+        )
         addr = self._server.sockets[0].getsockname()
         return addr[0], addr[1]
 
@@ -87,75 +89,43 @@ class FederationService:
         return atomic_write_json(Path(path), self.router.metrics_snapshot())
 
     # ------------------------------------------------------------------
-    # wire handling (same loop shape as the single-machine server)
+    # wire handling (the connection loop is protocol.serve_connection)
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    message = await read_message(reader)
-                except ProtocolError as exc:
-                    await write_message(writer, error_response("bad_request", str(exc)))
-                    continue
-                if message is None:
-                    return
-                response = await self._dispatch(message)
-                await write_message(writer, response)
-                if message.get("op") == "drain":
-                    return
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            raise  # cancellation must propagate; `finally` closes the writer
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
     async def _dispatch(self, message: dict[str, Any]) -> dict[str, Any]:
         op = message.get("op")
-        try:
-            if op == "ping":
-                return ok_response(
-                    pong=True,
-                    federation=True,
-                    fleet=[s.describe() for s in self.router.live_shards],
-                )
-            if op == "submit":
-                request = JobRequest.from_wire(message.get("job") or {})
-                job = await self.router.submit(request)
-                local = self.router.status(job.fed_id)
-                return ok_response(
-                    job_id=job.fed_id, state=local["state"], shard=job.shard_id
-                )
-            if op == "status":
-                # status traffic pumps detection: closed-loop clients
-                # polling stranded jobs would otherwise freeze the
-                # placement clock and the death would never confirm
-                await self.router.pump_detection()
-                return ok_response(job=self.router.status(message.get("job_id", "")))
-            if op == "metrics":
-                return ok_response(metrics=self.router.metrics_snapshot())
-            if op == "membership":
-                snapshot = self.router.membership_snapshot()
-                if snapshot is None:
-                    raise ProtocolError(
-                        "this federation runs without a membership layer"
-                    )
-                return ok_response(membership=snapshot)
-            if op == "drain":
-                snapshot = await self.drain()
-                return ok_response(metrics=snapshot)
-            raise ProtocolError(f"unknown op {op!r}")
-        except AdmissionRejected as exc:
-            return error_response(
-                exc.code, str(exc), depth=exc.depth, capacity=exc.capacity
+        if op == "ping":
+            return ok_response(
+                pong=True,
+                federation=True,
+                fleet=[s.describe() for s in self.router.live_shards],
             )
-        except ProtocolError as exc:
-            return error_response("bad_request", str(exc))
-        except ReproError as exc:
-            return error_response("internal", f"{type(exc).__name__}: {exc}")
+        if op == "submit":
+            request = JobRequest.from_wire(message.get("job") or {})
+            job = await self.router.submit(request)
+            local = self.router.status(job.fed_id)
+            return ok_response(
+                job_id=job.fed_id, state=local["state"], shard=job.shard_id
+            )
+        if op == "status":
+            # status traffic pumps detection: closed-loop clients
+            # polling stranded jobs would otherwise freeze the
+            # placement clock and the death would never confirm
+            await self.router.pump_detection()
+            return ok_response(job=self.router.status(message.get("job_id", "")))
+        if op == "wait":
+            timeout = wait_timeout(message)
+            job = await self.router.wait(message.get("job_id", ""), timeout)
+            return ok_response(job=job)
+        if op == "metrics":
+            return ok_response(metrics=self.router.metrics_snapshot())
+        if op == "membership":
+            snapshot = self.router.membership_snapshot()
+            if snapshot is None:
+                raise ProtocolError(
+                    "this federation runs without a membership layer"
+                )
+            return ok_response(membership=snapshot)
+        if op == "drain":
+            snapshot = await self.drain()
+            return ok_response(metrics=snapshot)
+        raise ProtocolError(f"unknown op {op!r}")

@@ -2,9 +2,13 @@
 
 Newline-delimited JSON over a stream: every request and response is one
 JSON object on one line.  Requests carry an ``op`` field (``submit``,
-``status``, ``metrics``, ``drain``, ``ping``); responses carry ``ok`` plus
-either the payload or a typed ``error`` object ``{"code", "message", ...}``
-that client code can turn back into the matching exception.
+``status``, ``wait``, ``metrics``, ``drain``, ``ping``); responses carry
+``ok`` plus either the payload or a typed ``error`` object
+``{"code", "message", ...}`` that client code can turn back into the
+matching exception.  ``wait`` is the one op whose answer is deferred:
+the server replies when the job is terminal, or with the still-pending
+record once the request's ``timeout`` expires.  One connection loop,
+:func:`serve_connection`, serves both tiers.
 
 The module also defines the job model shared by the in-process API and
 the wire: :class:`JobRequest` (what a tenant asks for), :class:`JobState`
@@ -16,11 +20,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Awaitable, Callable, Mapping
 
-from repro.errors import ServeError
+from repro.errors import ReproError, ServeError
 
 __all__ = [
     "MAX_MESSAGE_BYTES",
@@ -37,6 +42,8 @@ __all__ = [
     "ok_response",
     "error_response",
     "raise_for_error",
+    "wait_timeout",
+    "serve_connection",
 ]
 
 #: Upper bound on one protocol line; submissions are tiny, so anything
@@ -240,10 +247,24 @@ def encode_message(payload: Mapping[str, Any]) -> bytes:
     return json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
-def decode_message(line: bytes) -> dict[str, Any]:
-    """Parse one protocol line into a dict; typed error on garbage."""
+#: Decodes with every object key interned, so a client that keeps many
+#: job records stores each field name once instead of once per record.
+_KEY_INTERNING_DECODER = json.JSONDecoder(
+    object_pairs_hook=lambda pairs: {sys.intern(k): v for k, v in pairs}
+)
+
+
+def decode_message(line: bytes, *, intern_keys: bool = False) -> dict[str, Any]:
+    """Parse one protocol line into a dict; typed error on garbage.
+
+    ``intern_keys`` is for the client side only: a server decoding
+    untrusted requests must not grow the interpreter's intern table.
+    """
     try:
-        payload = json.loads(line.decode("utf-8"))
+        text = line.decode("utf-8")
+        payload = (
+            _KEY_INTERNING_DECODER.decode(text) if intern_keys else json.loads(text)
+        )
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"undecodable protocol line: {exc}") from exc
     if not isinstance(payload, dict):
@@ -251,7 +272,9 @@ def decode_message(line: bytes) -> dict[str, Any]:
     return payload
 
 
-async def read_message(reader: asyncio.StreamReader) -> dict[str, Any] | None:
+async def read_message(
+    reader: asyncio.StreamReader, *, intern_keys: bool = False
+) -> dict[str, Any] | None:
     """Next message from a stream, or ``None`` on a clean EOF."""
     try:
         line = await reader.readuntil(b"\n")
@@ -263,7 +286,7 @@ async def read_message(reader: asyncio.StreamReader) -> dict[str, Any] | None:
         raise ProtocolError("protocol line exceeds the message size limit") from exc
     if len(line) > MAX_MESSAGE_BYTES:
         raise ProtocolError("protocol line exceeds the message size limit")
-    return decode_message(line)
+    return decode_message(line, intern_keys=intern_keys)
 
 
 async def write_message(writer: asyncio.StreamWriter, payload: Mapping[str, Any]) -> None:
@@ -301,3 +324,66 @@ def raise_for_error(response: Mapping[str, Any]) -> dict[str, Any]:
     if code == "lease_error":
         raise LeaseError(message)
     raise ProtocolError(f"{code}: {message}")
+
+
+def wait_timeout(message: Mapping[str, Any]) -> float | None:
+    """The ``timeout`` of a ``wait`` request: seconds >= 0, or ``None``
+    (absent or null) to wait for as long as the job takes."""
+    timeout = message.get("timeout")
+    if timeout is None:
+        return None
+    if (
+        not isinstance(timeout, (int, float))
+        or isinstance(timeout, bool)
+        or not timeout >= 0
+    ):
+        raise ProtocolError(f"'timeout' must be a number >= 0 or null, got {timeout!r}")
+    return float(timeout)
+
+
+# ----------------------------------------------------------------------
+# the server side of one connection
+# ----------------------------------------------------------------------
+Dispatch = Callable[[dict[str, Any]], Awaitable[dict[str, Any]]]
+
+
+async def serve_connection(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter, dispatch: Dispatch
+) -> None:
+    """Answer one client's requests in order until it hangs up or drains.
+
+    ``dispatch`` turns a request into its ok response and raises the
+    typed error otherwise; each error becomes its wire envelope here, so
+    the single service and the federation front-end share one loop.
+    """
+    try:
+        while True:
+            try:
+                message = await read_message(reader)
+            except ProtocolError as exc:
+                await write_message(writer, error_response("bad_request", str(exc)))
+                continue
+            if message is None:
+                return
+            await write_message(writer, await _respond(dispatch, message))
+            if message.get("op") == "drain":
+                return
+    except (ConnectionResetError, BrokenPipeError):
+        pass
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+
+
+async def _respond(dispatch: Dispatch, message: dict[str, Any]) -> dict[str, Any]:
+    try:
+        return await dispatch(message)
+    except AdmissionRejected as exc:
+        return {"ok": False, "error": exc.to_wire()}
+    except ProtocolError as exc:
+        return error_response("bad_request", str(exc))
+    except ReproError as exc:
+        return error_response("internal", f"{type(exc).__name__}: {exc}")

@@ -22,7 +22,10 @@ Job lifecycle::
 
 Simulations are CPU-bound pure Python, so each job runs on a worker
 thread (``run_in_executor``) while the event loop keeps serving
-submissions, status polls and metrics snapshots.  Graceful drain stops
+submissions, status queries and metrics snapshots.  A client that wants
+the outcome sends one ``wait`` request and is answered the moment the
+job turns terminal: :meth:`SchedulingService._finish` sets the job's
+completion event, so nobody polls.  Graceful drain stops
 admission (typed ``draining`` rejections), lets every admitted job finish,
 then stops the listener — zero jobs are ever dropped.
 
@@ -74,10 +77,9 @@ from repro.serve.protocol import (
     JobRequest,
     JobState,
     ProtocolError,
-    error_response,
     ok_response,
-    read_message,
-    write_message,
+    serve_connection,
+    wait_timeout,
 )
 from repro.serve.tenantstate import TenantStateStore
 from repro.topology.machine import MachineTopology
@@ -123,6 +125,9 @@ class SchedulingService:
             )
         self.default_deadline_s = default_deadline_s
         self.records: dict[str, JobRecord] = {}
+        #: job id -> event set when the job turns terminal or its record
+        #: leaves this service; created by the first waiter
+        self._completion: dict[str, asyncio.Event] = {}
         # per-(tenant, benchmark) warm state: the fastest node observed in
         # the tenant's previous jobs seeds the next lease's growth, and the
         # full checkpoint (reconstructed PTT + generation) is what the
@@ -145,7 +150,9 @@ class SchedulingService:
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         """Start the worker pool and the TCP listener; returns (host, port)."""
         self.start_workers()
-        self._server = await asyncio.start_server(self._handle_connection, host, port)
+        self._server = await asyncio.start_server(
+            functools.partial(serve_connection, dispatch=self._dispatch), host, port
+        )
         sock = self._server.sockets[0]
         addr = sock.getsockname()
         return addr[0], addr[1]
@@ -293,7 +300,7 @@ class SchedulingService:
         """
         evicted = self.admission.evict_newest(count)
         for record in evicted:
-            del self.records[record.job_id]
+            self._forget(record.job_id)
             self.metrics.record_evicted()
         return evicted
 
@@ -336,15 +343,45 @@ class SchedulingService:
         # with the reclaim loop sees either the old world or the fully
         # dead one, never a half-emptied records table
         for record in orphans:
-            del self.records[record.job_id]
+            self._forget(record.job_id)
             self.metrics.record_evicted()
         return orphans
+
+    def _forget(self, job_id: str) -> None:
+        """Drop a record that leaves this service; its waiters wake to
+        ``unknown job`` instead of hanging."""
+        del self.records[job_id]
+        self._signal(job_id)
+
+    def _signal(self, job_id: str) -> None:
+        done = self._completion.pop(job_id, None)
+        if done is not None:
+            done.set()
 
     def status(self, job_id: str) -> JobRecord:
         record = self.records.get(job_id)
         if record is None:
             raise ProtocolError(f"unknown job {job_id!r}")
         return record
+
+    async def wait(self, job_id: str, timeout: float | None = None) -> JobRecord:
+        """Block until the job is terminal; returns its record.
+
+        When ``timeout`` seconds pass first, returns the record as it
+        stands (not terminal) rather than raising, so the wire handler
+        can answer and the connection stays in step.  Raises
+        :class:`ProtocolError` for an unknown job, also when the record
+        leaves this service mid-wait (:meth:`kill`, :meth:`evict_queued`).
+        """
+        record = self.status(job_id)
+        if record.state.terminal:
+            return record
+        done = self._completion.setdefault(job_id, asyncio.Event())
+        try:
+            await asyncio.wait_for(done.wait(), timeout)
+        except asyncio.TimeoutError:
+            return record
+        return self.status(job_id)
 
     # ------------------------------------------------------------------
     # execution
@@ -534,6 +571,7 @@ class SchedulingService:
             self.metrics.record_completed(latency)
         else:
             self.metrics.record_failed(latency)
+        self._signal(record.job_id)
 
     @staticmethod
     def _summarize(runs: list[AppRunResult]) -> dict[str, Any]:
@@ -623,56 +661,26 @@ class SchedulingService:
         return atomic_write_json(Path(path), self.metrics_snapshot())
 
     # ------------------------------------------------------------------
-    # wire handling
+    # wire handling (the connection loop is protocol.serve_connection)
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    message = await read_message(reader)
-                except ProtocolError as exc:
-                    await write_message(writer, error_response("bad_request", str(exc)))
-                    continue
-                if message is None:
-                    return
-                response = await self._dispatch(message)
-                await write_message(writer, response)
-                if message.get("op") == "drain":
-                    return
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            raise  # cancellation must propagate; `finally` closes the writer
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
     async def _dispatch(self, message: dict[str, Any]) -> dict[str, Any]:
         op = message.get("op")
-        try:
-            if op == "ping":
-                return ok_response(pong=True, machine=self.topology.describe())
-            if op == "submit":
-                request = JobRequest.from_wire(message.get("job") or {})
-                record = self.submit(request)
-                return ok_response(job_id=record.job_id, state=record.state.value)
-            if op == "status":
-                record = self.status(message.get("job_id", ""))
-                return ok_response(job=record.to_wire())
-            if op == "metrics":
-                return ok_response(metrics=self.metrics_snapshot())
-            if op == "drain":
-                snapshot = await self.drain()
-                return ok_response(metrics=snapshot)
-            raise ProtocolError(f"unknown op {op!r}")
-        except AdmissionRejected as exc:
-            return error_response(exc.code, str(exc), depth=exc.depth, capacity=exc.capacity)
-        except ProtocolError as exc:
-            return error_response("bad_request", str(exc))
-        except ReproError as exc:
-            return error_response("internal", f"{type(exc).__name__}: {exc}")
+        if op == "ping":
+            return ok_response(pong=True, machine=self.topology.describe())
+        if op == "submit":
+            request = JobRequest.from_wire(message.get("job") or {})
+            record = self.submit(request)
+            return ok_response(job_id=record.job_id, state=record.state.value)
+        if op == "status":
+            record = self.status(message.get("job_id", ""))
+            return ok_response(job=record.to_wire())
+        if op == "wait":
+            timeout = wait_timeout(message)
+            record = await self.wait(message.get("job_id", ""), timeout)
+            return ok_response(job=record.to_wire())
+        if op == "metrics":
+            return ok_response(metrics=self.metrics_snapshot())
+        if op == "drain":
+            snapshot = await self.drain()
+            return ok_response(metrics=snapshot)
+        raise ProtocolError(f"unknown op {op!r}")

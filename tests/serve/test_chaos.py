@@ -12,6 +12,7 @@ plans are seeded, two identical runs must produce *identical* end states.
 import asyncio
 import json
 import random
+import threading
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.errors import ServeError, TransientRunnerError
 from repro.exp.runner import ExperimentConfig
 from repro.serve.client import ServiceClient
 from repro.serve.faults import FaultKind, FaultPlan, WorkerCrashed, parse_fault_spec
-from repro.serve.protocol import AdmissionRejected, JobRequest, JobState
+from repro.serve.protocol import AdmissionRejected, JobRequest, JobState, ProtocolError
 from repro.serve.server import SchedulingService
 from repro.topology.presets import dual_socket_small
 
@@ -341,7 +342,7 @@ def test_seeded_chaos_run_is_byte_reproducible():
 
 
 # ----------------------------------------------------------------------
-# client resilience: backoff polling and jittered retry
+# client resilience: the blocking wait op and jittered retry
 # ----------------------------------------------------------------------
 class _StubClient(ServiceClient):
     """ServiceClient with the wire swapped out for canned behaviour."""
@@ -351,40 +352,128 @@ class _StubClient(ServiceClient):
         super().__init__(reader=None, writer=None, host="stub", port=0)
 
 
-def test_wait_backs_off_exponentially_with_cap(monkeypatch):
+def _gated(service):
+    """Hold every job's simulation until the returned event is set."""
+    gate = threading.Event()
+    real_run_specs = service.runner.run_specs
+
+    def run_specs(specs):
+        gate.wait(TIMEOUT)
+        return real_run_specs(specs)
+
+    service.runner.run_specs = run_specs
+    return gate
+
+
+def test_wait_is_one_request_and_ignores_the_poll_keywords():
     client = _StubClient()
-    polls = {"n": 0}
-    sleeps = []
+    sent = []
 
-    async def fake_status(job_id):
-        polls["n"] += 1
-        state = "completed" if polls["n"] >= 7 else "running"
-        return {"job_id": job_id, "state": state}
+    async def fake_request(payload):
+        sent.append(dict(payload))
+        return {"ok": True, "job": {"job_id": payload["job_id"], "state": "completed"}}
 
-    async def fake_sleep(delay):
-        sleeps.append(delay)
+    async def no_status(job_id):
+        raise AssertionError("wait must not poll status")
 
-    client.status = fake_status
-    monkeypatch.setattr(asyncio, "sleep", fake_sleep)
+    client.request = fake_request
+    client.status = no_status
     job = asyncio.run(client.wait("job-1", poll_interval=0.02, max_poll_interval=0.1))
     assert job["state"] == "completed"
-    # doubled each poll, capped at the maximum
-    assert sleeps == [0.02, 0.04, 0.08, 0.1, 0.1, 0.1]
+    assert sent == [{"op": "wait", "job_id": "job-1", "timeout": None}]
 
 
-def test_wait_without_timeout_never_wraps_in_wait_for(monkeypatch):
-    client = _StubClient()
+def test_wait_timeout_raises_and_the_connection_serves_the_next_request():
+    async def run():
+        service = _service(workers=1)
+        gate = _gated(service)
+        host, port = await service.start("127.0.0.1", 0)
+        try:
+            async with await ServiceClient.connect(host, port) as cli:
+                job_id = await cli.submit(JobRequest(benchmark="matmul", timesteps=3))
+                with pytest.raises(asyncio.TimeoutError):
+                    await cli.wait(job_id, timeout=0.05)
+                # the expired wait was answered on the server, so the next
+                # reply on this connection belongs to the next request
+                assert (await cli.status(job_id))["state"] in ("queued", "running")
+                assert (await cli.ping())["pong"] is True
+                gate.set()
+                job = await cli.wait(job_id, timeout=TIMEOUT)
+                assert job["job_id"] == job_id and job["state"] == "completed"
+        finally:
+            gate.set()
+        await asyncio.wait_for(service.drain(), timeout=TIMEOUT)
 
-    async def fake_status(job_id):
-        return {"job_id": job_id, "state": "completed"}
+    asyncio.run(run())
 
-    def boom(*args, **kwargs):
-        raise AssertionError("wait(timeout=None) must not use asyncio.wait_for")
 
-    client.status = fake_status
-    monkeypatch.setattr(asyncio, "wait_for", boom)
-    job = asyncio.run(client.wait("job-1", timeout=None))
-    assert job["state"] == "completed"
+def test_wait_on_a_finished_job_returns_at_once():
+    async def run():
+        service = _service(workers=1)
+        host, port = await service.start("127.0.0.1", 0)
+        async with await ServiceClient.connect(host, port) as cli:
+            job_id = await cli.submit(JobRequest(benchmark="matmul", timesteps=3))
+            first = await cli.wait(job_id, timeout=TIMEOUT)
+            # a zero timeout expires before any waiting: only an already
+            # terminal record can come back without TimeoutError
+            again = await cli.wait(job_id, timeout=0)
+            assert again == first and again["state"] == "completed"
+            with pytest.raises(ProtocolError, match="unknown job"):
+                await cli.wait("job-99999", timeout=0)
+            with pytest.raises(ProtocolError, match="timeout"):
+                await cli.request({"op": "wait", "job_id": job_id, "timeout": -1})
+        await asyncio.wait_for(service.drain(), timeout=TIMEOUT)
+
+    asyncio.run(run())
+
+
+def test_waiters_wake_with_unknown_job_on_evict_and_kill():
+    async def run():
+        service = _service()  # workers never start: every job stays queued
+        head, middle, tail = (
+            service.submit(JobRequest(benchmark="matmul", timesteps=3))
+            for _ in range(3)
+        )
+        waiters = [
+            asyncio.create_task(service.wait(r.job_id)) for r in (head, middle, tail)
+        ]
+        await asyncio.sleep(0)  # every waiter is now blocked
+        assert [r.job_id for r in service.evict_queued(1)] == [tail.job_id]
+        with pytest.raises(ProtocolError, match="unknown job"):
+            await asyncio.wait_for(waiters[2], timeout=TIMEOUT)
+        assert not waiters[0].done() and not waiters[1].done()
+        orphans = await service.kill()
+        assert {r.job_id for r in orphans} == {head.job_id, middle.job_id}
+        for waiter in waiters[:2]:
+            with pytest.raises(ProtocolError, match="unknown job"):
+                await asyncio.wait_for(waiter, timeout=TIMEOUT)
+        assert service._completion == {}
+
+    asyncio.run(run())
+
+
+def test_client_disconnecting_mid_wait_does_not_stall_drain():
+    async def run():
+        service = _service(workers=1)
+        gate = _gated(service)
+        host, port = await service.start("127.0.0.1", 0)
+        try:
+            cli = await ServiceClient.connect(host, port)
+            job_id = await cli.submit(JobRequest(benchmark="matmul", timesteps=3))
+            pending = asyncio.create_task(cli.wait(job_id))
+            await asyncio.sleep(0.05)  # the wait request is on the server
+            pending.cancel()
+            await cli.close()
+            drain = asyncio.create_task(service.drain())
+            await asyncio.sleep(0.05)
+            gate.set()
+            snapshot = await asyncio.wait_for(drain, timeout=TIMEOUT)
+        finally:
+            gate.set()
+        assert snapshot["jobs"]["completed"] == 1
+        assert _conserves(snapshot) and _all_leases_free(snapshot)
+
+    asyncio.run(run())
 
 
 def test_submit_with_retry_uses_full_jitter_and_recovers():

@@ -222,6 +222,36 @@ def test_rebalance_sheds_youngest_and_preserves_fifo_head():
     asyncio.run(run())
 
 
+def test_fed_wait_follows_a_job_across_a_rebalance():
+    async def run():
+        router = FederationRouter(_fleet(3), seed=0)
+        # workers not started: the jobs wait in the home shard's queue
+        jobs = [await router.submit(_request("hot")) for _ in range(10)]
+        home = router.affinity.home_of("hot")
+        waiters = {
+            job.fed_id: asyncio.create_task(router.wait(job.fed_id)) for job in jobs
+        }
+        await asyncio.sleep(0)  # every waiter blocks on the home shard
+        router.high_water = 3
+        await router.submit(_request("hot"))  # sheds the youngest waiters
+        assert router.migrations > 0
+        await router.start()
+        records = {
+            fed_id: await asyncio.wait_for(task, timeout=TIMEOUT)
+            for fed_id, task in waiters.items()
+        }
+        assert all(r["state"] == "completed" for r in records.values())
+        moved = [r for r in records.values() if r["migrations"] > 0]
+        assert len(moved) == router.migrations
+        for record in moved:
+            assert record["placements"][0] == home and record["shard"] != home
+        with pytest.raises(ProtocolError, match="unknown job"):
+            await router.wait("fed-99999")
+        await router.drain()
+
+    asyncio.run(run())
+
+
 def test_rebalance_needs_a_relief_shard():
     async def run():
         router = FederationRouter(_fleet(2, queue_capacity=64), seed=0,

@@ -19,6 +19,7 @@ from repro.exp.runner import ExperimentConfig
 from repro.serve.client import ReconnectExhausted, ServiceClient
 from repro.serve.federation import (
     FederationRouter,
+    FederationService,
     Membership,
     MemberState,
     ShardFaultPlan,
@@ -32,6 +33,8 @@ from repro.serve.server import SchedulingService
 from repro.serve.tenantstate import TenantCheckpoint, TenantStateStore
 from repro.errors import ServeError
 from repro.topology.presets import default_distances, dual_socket_small
+
+TIMEOUT = 60  # hang guard
 
 
 # ----------------------------------------------------------------------
@@ -495,6 +498,38 @@ def test_pump_detection_confirms_death_without_new_placements():
     assert membership["deaths_confirmed"] == 1
     assert membership["epochs"]["shard-1"] == 1
     assert membership["respawns"]["respawns_total"] == 1
+    states = snapshot["router"]["job_states"]
+    assert states["completed"] + states["failed"] == 8
+
+
+def test_fed_wait_on_a_stranded_job_drives_its_own_recovery():
+    """The blocking ``wait`` op must keep the detector pumping: with no
+    other client traffic — no submissions, no status calls — a wait on
+    a job stranded by a silent crash alone confirms the death, follows
+    the adoption onto a survivor and returns the completed record."""
+    async def run():
+        router, plan = _healing_router(kill_at=1, heartbeat_every=100)
+        fed = FederationService(router)
+        host, port = await fed.start("127.0.0.1", 0)
+        stranded = []
+        for i in range(8):
+            job = await router.submit(JobRequest(
+                benchmark="matmul", timesteps=2, nodes=1,
+                tenant=f"tenant-{i % 4}"))
+            handle = router.instances[job.shard_id]
+            if not handle.alive and job.local_job_id not in handle.service.records:
+                stranded.append(job.fed_id)
+        assert plan.crashed == ["shard-1"] and stranded
+        assert router._undetected_crashes() == ["shard-1"]
+        async with await ServiceClient.connect(host, port) as cli:
+            record = await cli.wait(stranded[0], timeout=TIMEOUT)
+        assert record["state"] == "completed"
+        assert record["placements"][0] == "shard-1"
+        assert record["shard"] != "shard-1"
+        assert router.membership.deaths_confirmed == 1
+        return await fed.drain()
+
+    snapshot = asyncio.run(run())
     states = snapshot["router"]["job_states"]
     assert states["completed"] + states["failed"] == 8
 

@@ -103,10 +103,27 @@ def test_codec_round_trip():
     assert decode_message(line) == msg
 
 
+def test_client_side_decoding_shares_key_strings():
+    """A client keeping thousands of job records must not hold one copy
+    of every field name per record."""
+    first, second = (
+        decode_message(encode_message({"job": {"state": s, "result": {"runs": 1}}}),
+                       intern_keys=True)
+        for s in ("queued", "completed")
+    )
+    assert first == {"job": {"state": "queued", "result": {"runs": 1}}}
+    key_objects = [
+        [k for k in doc if k == "state"][0] for doc in (first["job"], second["job"])
+    ]
+    assert key_objects[0] is key_objects[1]
+
+
 @pytest.mark.parametrize("garbage", [b"not json\n", b"\xff\xfe\n", b"[1,2]\n"])
 def test_decode_rejects_garbage(garbage):
     with pytest.raises(ProtocolError):
         decode_message(garbage)
+    with pytest.raises(ProtocolError):
+        decode_message(garbage, intern_keys=True)
 
 
 def _reader_with(data: bytes) -> asyncio.StreamReader:

@@ -9,9 +9,15 @@ graceful drain leaves zero pending jobs.
 """
 
 import asyncio
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.exp.runner import ExperimentConfig
 from repro.serve.client import ServiceClient
@@ -348,3 +354,18 @@ def test_drain_during_faults_accounts_for_every_admitted_job():
             service.submit(JobRequest(benchmark="matmul"))
 
     asyncio.run(run())
+
+
+def test_importing_the_service_leaves_scipy_unloaded():
+    """scipy is an optional extra used only by the offline t-test; the
+    service (and every shard respawn) must start without paying for it."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.serve, repro.serve.federation, repro.exp; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert probe.stdout.strip() == "[]"

@@ -31,7 +31,7 @@ The wire front-end
 existing newline-JSON protocol, so single-machine clients and the load
 generator drive a fleet unchanged.  Start one with::
 
-    python -m repro.serve.federation --shards 3 --machine small
+    python -m repro.serve --shards 3 --machine small
 """
 
 from repro.serve.federation.affinity import AffinityPolicy

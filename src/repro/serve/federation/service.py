@@ -1,12 +1,13 @@
 """The federation's wire front-end: one port, the whole fleet behind it.
 
-:class:`FederationService` speaks the *existing* newline-JSON protocol —
-``submit`` / ``status`` / ``wait`` / ``metrics`` / ``drain`` / ``ping``
-(``wait`` follows a job across re-placements and keeps the failure
-detector pumping while it blocks), plus the
-federation-only ``membership`` op exposing the failure detector's view
-(member states, epochs, respawns, warm-migration counters) — so every
-client built for a single :class:`~repro.serve.server.SchedulingService`
+:class:`FederationService` is the same :class:`~repro.serve.frontend.FrontEnd`
+as a single :class:`~repro.serve.server.SchedulingService` — one op table,
+one listener, one drain latch — with the router behind it.  It answers
+``ping`` / ``submit`` / ``status`` / ``wait`` for the fleet (``wait``
+follows a job across re-placements and keeps the failure detector
+pumping while it blocks) and adds exactly one op, ``membership``,
+exposing the failure detector's view (member states, epochs, respawns,
+warm-migration counters).  So every client built for a single service
 (the :class:`~repro.serve.client.ServiceClient`, the load generator, the
 smoke scripts) drives a federation unchanged; only the job ids
 (``fed-00001``) and the extra ``shard`` / ``placements`` fields betray
@@ -14,42 +15,32 @@ the fleet underneath.
 
 Graceful drain drains every live shard (admitted jobs finish, new
 submissions bounce with the typed ``draining`` rejection), then closes
-the router listener; :meth:`FederationService.persist_snapshot` writes
-the final federated snapshot through
-:func:`repro.ioutil.atomic_write_json`, so a killed process leaves the
-previous snapshot or the new one, never torn JSON.
+the router listener.
 """
 
 from __future__ import annotations
 
-import asyncio
-import functools
-from pathlib import Path
 from typing import Any
 
-from repro.ioutil import atomic_write_json
 from repro.serve.federation.router import FederationRouter
+from repro.serve.frontend import FrontEnd
 from repro.serve.protocol import (
     JobRequest,
     ProtocolError,
     ok_response,
-    serve_connection,
     wait_timeout,
 )
 
 __all__ = ["FederationService"]
 
 
-class FederationService:
-    """TCP listener dispatching the line protocol onto a router."""
+class FederationService(FrontEnd):
+    """TCP listener serving the line protocol from a router."""
 
     def __init__(self, router: FederationRouter):
+        super().__init__()
         self.router = router
-        self._server: asyncio.base_events.Server | None = None
-        self._drained = asyncio.Event()
-        self._drain_started = False
 
-    # ------------------------------------------------------------------
     async def start(
         self,
         host: str = "127.0.0.1",
@@ -59,73 +50,45 @@ class FederationService:
     ) -> tuple[str, int]:
         """Start every shard, then the router listener; returns (host, port)."""
         await self.router.start(expose_shards=expose_shards, host=host)
-        self._server = await asyncio.start_server(
-            functools.partial(serve_connection, dispatch=self._dispatch), host, port
-        )
-        addr = self._server.sockets[0].getsockname()
-        return addr[0], addr[1]
+        return await super().start(host, port)
 
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            raise RuntimeError("federation has no TCP listener")
-        return self._server.sockets[0].getsockname()[1]
+    async def _drain_backend(self) -> None:
+        await self.router.drain()
 
-    async def drain(self) -> dict[str, Any]:
-        """Drain every live shard, close the listener; idempotent."""
-        if not self._drain_started:
-            self._drain_started = True
-            await self.router.drain()
-            if self._server is not None:
-                self._server.close()
-                await self._server.wait_closed()
-                self._server = None
-            self._drained.set()
-        await self._drained.wait()
+    def metrics_snapshot(self) -> dict[str, Any]:
         return self.router.metrics_snapshot()
 
-    def persist_snapshot(self, path: str | Path) -> Path:
-        """Atomically write the federated snapshot (tmp + fsync + rename)."""
-        return atomic_write_json(Path(path), self.router.metrics_snapshot())
+    # ------------------------------------------------------------------
+    # wire ops (metrics and drain are FrontEnd's)
+    # ------------------------------------------------------------------
+    async def _op_ping(self, message: dict[str, Any]) -> dict[str, Any]:
+        return ok_response(
+            pong=True,
+            federation=True,
+            fleet=[s.describe() for s in self.router.live_shards],
+        )
 
-    # ------------------------------------------------------------------
-    # wire handling (the connection loop is protocol.serve_connection)
-    # ------------------------------------------------------------------
-    async def _dispatch(self, message: dict[str, Any]) -> dict[str, Any]:
-        op = message.get("op")
-        if op == "ping":
-            return ok_response(
-                pong=True,
-                federation=True,
-                fleet=[s.describe() for s in self.router.live_shards],
-            )
-        if op == "submit":
-            request = JobRequest.from_wire(message.get("job") or {})
-            job = await self.router.submit(request)
-            local = self.router.status(job.fed_id)
-            return ok_response(
-                job_id=job.fed_id, state=local["state"], shard=job.shard_id
-            )
-        if op == "status":
-            # status traffic pumps detection: closed-loop clients
-            # polling stranded jobs would otherwise freeze the
-            # placement clock and the death would never confirm
-            await self.router.pump_detection()
-            return ok_response(job=self.router.status(message.get("job_id", "")))
-        if op == "wait":
-            timeout = wait_timeout(message)
-            job = await self.router.wait(message.get("job_id", ""), timeout)
-            return ok_response(job=job)
-        if op == "metrics":
-            return ok_response(metrics=self.router.metrics_snapshot())
-        if op == "membership":
-            snapshot = self.router.membership_snapshot()
-            if snapshot is None:
-                raise ProtocolError(
-                    "this federation runs without a membership layer"
-                )
-            return ok_response(membership=snapshot)
-        if op == "drain":
-            snapshot = await self.drain()
-            return ok_response(metrics=snapshot)
-        raise ProtocolError(f"unknown op {op!r}")
+    async def _op_submit(self, message: dict[str, Any]) -> dict[str, Any]:
+        job = await self.router.submit(JobRequest.from_wire(message.get("job") or {}))
+        local = self.router.status(job.fed_id)
+        return ok_response(job_id=job.fed_id, state=local["state"], shard=job.shard_id)
+
+    async def _op_status(self, message: dict[str, Any]) -> dict[str, Any]:
+        # status traffic pumps detection: closed-loop clients polling
+        # stranded jobs would otherwise freeze the placement clock and
+        # the death would never confirm
+        await self.router.pump_detection()
+        return ok_response(job=self.router.status(message.get("job_id", "")))
+
+    async def _op_wait(self, message: dict[str, Any]) -> dict[str, Any]:
+        timeout = wait_timeout(message)
+        return ok_response(job=await self.router.wait(message.get("job_id", ""), timeout))
+
+    async def _op_membership(self, message: dict[str, Any]) -> dict[str, Any]:
+        snapshot = self.router.membership_snapshot()
+        if snapshot is None:
+            raise ProtocolError("this federation runs without a membership layer")
+        return ok_response(membership=snapshot)
+
+    OPS = {**FrontEnd.OPS, "ping": _op_ping, "submit": _op_submit,
+           "status": _op_status, "wait": _op_wait, "membership": _op_membership}

@@ -8,7 +8,7 @@ JSON object on one line.  Requests carry an ``op`` field (``submit``,
 matching exception.  ``wait`` is the one op whose answer is deferred:
 the server replies when the job is terminal, or with the still-pending
 record once the request's ``timeout`` expires.  One connection loop,
-:func:`serve_connection`, serves both tiers.
+:func:`serve_connection`, serves both tiers through their op tables.
 
 The module also defines the job model shared by the in-process API and
 the wire: :class:`JobRequest` (what a tenant asks for), :class:`JobState`
@@ -43,6 +43,7 @@ __all__ = [
     "error_response",
     "raise_for_error",
     "wait_timeout",
+    "OpHandler",
     "serve_connection",
 ]
 
@@ -344,17 +345,21 @@ def wait_timeout(message: Mapping[str, Any]) -> float | None:
 # ----------------------------------------------------------------------
 # the server side of one connection
 # ----------------------------------------------------------------------
-Dispatch = Callable[[dict[str, Any]], Awaitable[dict[str, Any]]]
+#: One op's handler: the request in, its ok response out (or a typed error).
+OpHandler = Callable[[dict[str, Any]], Awaitable[dict[str, Any]]]
 
 
 async def serve_connection(
-    reader: asyncio.StreamReader, writer: asyncio.StreamWriter, dispatch: Dispatch
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    ops: Mapping[str, OpHandler],
 ) -> None:
     """Answer one client's requests in order until it hangs up or drains.
 
-    ``dispatch`` turns a request into its ok response and raises the
-    typed error otherwise; each error becomes its wire envelope here, so
-    the single service and the federation front-end share one loop.
+    ``ops`` is the tier's op table (:attr:`repro.serve.frontend.FrontEnd.OPS`
+    bound to one instance): each request's ``op`` picks its handler with
+    one lookup, and each typed error becomes its wire envelope here, so
+    the single service and the federation front end share one loop.
     """
     try:
         while True:
@@ -365,7 +370,7 @@ async def serve_connection(
                 continue
             if message is None:
                 return
-            await write_message(writer, await _respond(dispatch, message))
+            await write_message(writer, await _respond(ops, message))
             if message.get("op") == "drain":
                 return
     except (ConnectionResetError, BrokenPipeError):
@@ -378,9 +383,13 @@ async def serve_connection(
             pass
 
 
-async def _respond(dispatch: Dispatch, message: dict[str, Any]) -> dict[str, Any]:
+async def _respond(ops: Mapping[str, OpHandler], message: dict[str, Any]) -> dict[str, Any]:
+    op = message.get("op")
     try:
-        return await dispatch(message)
+        handler = ops.get(op) if isinstance(op, str) else None
+        if handler is None:
+            raise ProtocolError(f"unknown op {op!r}")
+        return await handler(message)
     except AdmissionRejected as exc:
         return {"ok": False, "error": exc.to_wire()}
     except ProtocolError as exc:

@@ -53,7 +53,6 @@ from __future__ import annotations
 import asyncio
 import functools
 import time
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -65,11 +64,11 @@ from repro.errors import (
     TransientRunnerError,
 )
 from repro.exp.runner import LEASE_SCHEDULERS, ExperimentConfig, Runner, RunSpec
-from repro.ioutil import atomic_write_json
 from repro.runtime.results import AppRunResult
 from repro.serve.admission import AdmissionQueue
 from repro.serve.arbiter import LeaseLedger, NodeArbiter
 from repro.serve.faults import FaultKind, FaultPlan, WorkerCrashed
+from repro.serve.frontend import FrontEnd
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.protocol import (
     AdmissionRejected,
@@ -78,7 +77,6 @@ from repro.serve.protocol import (
     JobState,
     ProtocolError,
     ok_response,
-    serve_connection,
     wait_timeout,
 )
 from repro.serve.tenantstate import TenantStateStore
@@ -89,7 +87,7 @@ from repro.workloads.registry import benchmark_names
 __all__ = ["SchedulingService"]
 
 
-class SchedulingService:
+class SchedulingService(FrontEnd):
     """One simulated machine shared by many concurrently submitted jobs."""
 
     def __init__(
@@ -105,6 +103,7 @@ class SchedulingService:
         default_deadline_s: float | None = None,
         latency_reservoir: int = 1024,
     ):
+        super().__init__()
         self.topology = topology or zen4_9354()
         self.config = config or ExperimentConfig.from_env()
         self.runner = Runner(self.config, topology=self.topology)
@@ -139,10 +138,7 @@ class SchedulingService:
         self._worker_tasks: list[asyncio.Task] = []
         self._worker_seq = 0
         self.workers_crashed = 0
-        self._server: asyncio.base_events.Server | None = None
         self._job_counter = 0
-        self._drained = asyncio.Event()
-        self._drain_started = False
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -150,12 +146,7 @@ class SchedulingService:
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         """Start the worker pool and the TCP listener; returns (host, port)."""
         self.start_workers()
-        self._server = await asyncio.start_server(
-            functools.partial(serve_connection, dispatch=self._dispatch), host, port
-        )
-        sock = self._server.sockets[0]
-        addr = sock.getsockname()
-        return addr[0], addr[1]
+        return await super().start(host, port)
 
     def start_workers(self) -> None:
         """In-process mode: start only the worker pool (no TCP listener)."""
@@ -181,38 +172,22 @@ class SchedulingService:
             self._worker_tasks.remove(task)
             self._spawn_worker()
 
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            raise RuntimeError("service has no TCP listener")
-        return self._server.sockets[0].getsockname()[1]
+    async def _drain_backend(self) -> None:
+        """Reject new work and finish admitted work (:meth:`drain`).
 
-    async def drain(self) -> dict[str, Any]:
-        """Graceful shutdown: reject new work, finish admitted work, stop.
-
-        Idempotent — concurrent callers all await the same completion and
-        receive a final metrics snapshot with zero pending jobs.  Safe to
-        call mid-fault: a crash during drain still requeues its job
+        Safe mid-fault: a crash during drain still requeues its job
         (recovery re-admission bypasses the draining rejection), so every
         admitted job reaches a terminal state before the drain resolves.
         """
-        if not self._drain_started:
-            self._drain_started = True
-            self.admission.start_drain()
-            await self.admission.join()
-            # crashed workers are respawned by the supervisor (a done
-            # callback), so gather until the roster is quiescent
-            while True:
-                await asyncio.gather(*list(self._worker_tasks), return_exceptions=True)
-                await asyncio.sleep(0)  # let pending respawn callbacks run
-                if all(t.done() for t in self._worker_tasks):
-                    break
-            if self._server is not None:
-                self._server.close()
-                await self._server.wait_closed()
-            self._drained.set()
-        await self._drained.wait()
-        return self.metrics_snapshot()
+        self.admission.start_drain()
+        await self.admission.join()
+        # crashed workers are respawned by the supervisor (a done
+        # callback), so gather until the roster is quiescent
+        while True:
+            await asyncio.gather(*list(self._worker_tasks), return_exceptions=True)
+            await asyncio.sleep(0)  # let pending respawn callbacks run
+            if all(t.done() for t in self._worker_tasks):
+                break
 
     # ------------------------------------------------------------------
     # submission (in-process API; the wire handler calls this too)
@@ -334,10 +309,7 @@ class SchedulingService:
         # be a bug elsewhere, but a dead shard must never pin nodes
         for job_id in list(self.arbiter.ledger.leases()):
             await self.arbiter.reclaim(job_id)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        self._close_listener()
         # the record deletions stay after every await above so the death
         # is atomic to concurrent observers: a status poll interleaved
         # with the reclaim loop sees either the old world or the fully
@@ -650,37 +622,23 @@ class SchedulingService:
             tenant_state=self.tenant_state.describe(),
         )
 
-    def persist_snapshot(self, path: str | Path) -> Path:
-        """Atomically write the current metrics snapshot as JSON.
-
-        Tmp file + fsync + rename: a server killed mid-write leaves
-        either the previous snapshot or the new one, never torn JSON.
-        Called by the CLI after a signal-triggered drain so operators get
-        a final, conservation-consistent account of every job.
-        """
-        return atomic_write_json(Path(path), self.metrics_snapshot())
-
     # ------------------------------------------------------------------
-    # wire handling (the connection loop is protocol.serve_connection)
+    # wire ops (metrics and drain are FrontEnd's)
     # ------------------------------------------------------------------
-    async def _dispatch(self, message: dict[str, Any]) -> dict[str, Any]:
-        op = message.get("op")
-        if op == "ping":
-            return ok_response(pong=True, machine=self.topology.describe())
-        if op == "submit":
-            request = JobRequest.from_wire(message.get("job") or {})
-            record = self.submit(request)
-            return ok_response(job_id=record.job_id, state=record.state.value)
-        if op == "status":
-            record = self.status(message.get("job_id", ""))
-            return ok_response(job=record.to_wire())
-        if op == "wait":
-            timeout = wait_timeout(message)
-            record = await self.wait(message.get("job_id", ""), timeout)
-            return ok_response(job=record.to_wire())
-        if op == "metrics":
-            return ok_response(metrics=self.metrics_snapshot())
-        if op == "drain":
-            snapshot = await self.drain()
-            return ok_response(metrics=snapshot)
-        raise ProtocolError(f"unknown op {op!r}")
+    async def _op_ping(self, message: dict[str, Any]) -> dict[str, Any]:
+        return ok_response(pong=True, machine=self.topology.describe())
+
+    async def _op_submit(self, message: dict[str, Any]) -> dict[str, Any]:
+        record = self.submit(JobRequest.from_wire(message.get("job") or {}))
+        return ok_response(job_id=record.job_id, state=record.state.value)
+
+    async def _op_status(self, message: dict[str, Any]) -> dict[str, Any]:
+        return ok_response(job=self.status(message.get("job_id", "")).to_wire())
+
+    async def _op_wait(self, message: dict[str, Any]) -> dict[str, Any]:
+        timeout = wait_timeout(message)
+        record = await self.wait(message.get("job_id", ""), timeout)
+        return ok_response(job=record.to_wire())
+
+    OPS = {**FrontEnd.OPS, "ping": _op_ping, "submit": _op_submit,
+           "status": _op_status, "wait": _op_wait}

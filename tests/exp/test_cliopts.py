@@ -52,15 +52,18 @@ def test_machine_default_is_overridable():
 
 
 def test_the_two_campaign_clis_share_the_vocabulary():
-    """The dedup satellite: both entry points accept the same flags."""
+    """Both entry points accept the same flags; the one serving CLI takes
+    them alike for a single machine and for a federation."""
     from repro.exp.cli import _build_parser as exp_parser
-    from repro.serve.__main__ import _build_parser as serve_parser
+    from repro.serve.__main__ import _parse_args as serve_args
 
     shared = ["--seeds", "2", "--timesteps", "3", "--no-noise", "--jobs", "2",
               "--no-cache", "--machine", "tiny"]
     exp_args = exp_parser().parse_args(["fig2", *shared])
-    serve_args = serve_parser().parse_args(shared)
-    for ns in (exp_args, serve_args):
+    single = serve_args(shared)
+    fleet = serve_args(["--shards", "2", *shared])
+    assert (single.shards, fleet.shards) == (None, 2)
+    for ns in (exp_args, single, fleet):
         assert (ns.seeds, ns.timesteps, ns.jobs) == (2, 3, 2)
         assert ns.no_noise and ns.no_cache
         assert ns.machine == "tiny"

@@ -21,7 +21,14 @@ from repro.serve.federation import (
     build_shards,
     shard_fault_seed,
 )
-from repro.serve.protocol import AdmissionRejected, JobRequest, ProtocolError
+from repro.serve.frontend import FrontEnd
+from repro.serve.protocol import (
+    AdmissionRejected,
+    JobRequest,
+    ProtocolError,
+    decode_message,
+    encode_message,
+)
 from repro.serve.server import SchedulingService
 from repro.topology.presets import dual_socket_small
 
@@ -297,6 +304,46 @@ def test_federation_speaks_the_existing_protocol_over_tcp():
         assert excinfo.value.code == "draining"
 
     asyncio.run(run())
+
+
+def test_the_federation_ops_are_the_services_plus_membership():
+    """Every single-service client drives a federation unchanged: the
+    federation answers every op a service does, adds only ``membership``,
+    and shares the ``metrics``/``drain`` handlers outright."""
+    assert set(FederationService.OPS) == set(SchedulingService.OPS) | {"membership"}
+    assert "membership" not in SchedulingService.OPS
+    assert set(FrontEnd.OPS) == {"metrics", "drain"}
+    for op, handler in FrontEnd.OPS.items():
+        assert SchedulingService.OPS[op] is handler
+        assert FederationService.OPS[op] is handler
+
+
+@pytest.mark.parametrize("tier", ["service", "federation"])
+def test_unknown_op_is_a_bad_request_and_the_connection_keeps_serving(tier):
+    async def run():
+        if tier == "service":
+            front = SchedulingService(dual_socket_small(), config=_fast_config(),
+                                      workers=1)
+        else:
+            front = FederationService(FederationRouter(_fleet(2), seed=0))
+        host, port = await front.start("127.0.0.1", 0)
+        assert set(front.ops) == set(type(front).OPS)
+        reader, writer = await asyncio.open_connection(host, port)
+        replies = []
+        for request in ({"op": "nosuch"}, {"op": ["ping"]}, {}, {"op": "ping"}):
+            writer.write(encode_message(request))
+            replies.append(decode_message(await reader.readline()))
+        writer.close()
+        await writer.wait_closed()
+        await front.drain()
+        return replies
+
+    *unknown, pong = asyncio.run(run())
+    for reply in unknown:
+        assert reply["ok"] is False
+        assert reply["error"]["code"] == "bad_request"
+        assert "unknown op" in reply["error"]["message"]
+    assert pong["ok"] is True and pong["pong"] is True
 
 
 def test_unknown_fed_job_id_is_a_protocol_error():

@@ -364,6 +364,49 @@ def test_reconnect_requires_a_remembered_address():
 
 
 # ----------------------------------------------------------------------
+# the membership op over the wire
+# ----------------------------------------------------------------------
+async def _ask_membership(front):
+    host, port = await front.start("127.0.0.1", 0)
+    try:
+        async with await ServiceClient.connect(host, port) as cli:
+            return await cli.request({"op": "membership"})
+    finally:
+        await front.drain()
+
+
+def _two_shards():
+    return build_shards(2, dual_socket_small, config=_fast_config(), workers=1)
+
+
+def test_membership_op_returns_the_detector_view():
+    membership = Membership(heartbeat_every=1, suspect_after=1, confirm_after=2)
+    router = FederationRouter(_two_shards(), seed=0, membership=membership)
+    reply = asyncio.run(_ask_membership(FederationService(router)))
+    view = reply["membership"]
+    assert view["detector"]["config"] == {
+        "heartbeat_every": 1, "suspect_after": 1, "confirm_after": 2,
+    }
+    members = view["detector"]["members"]
+    assert sorted(members) == ["shard-0", "shard-1"]
+    assert {m["state"] for m in members.values()} == {MemberState.ALIVE.value}
+    assert view["epochs"] == {"shard-0": 0, "shard-1": 0}
+    assert view["deaths_confirmed"] == 0 and view["respawns"] is None
+
+
+def test_membership_op_without_a_membership_layer_is_a_bad_request():
+    router = FederationRouter(_two_shards(), seed=0)
+    with pytest.raises(ProtocolError, match="bad_request: .*without a membership layer"):
+        asyncio.run(_ask_membership(FederationService(router)))
+
+
+def test_a_single_service_does_not_know_the_membership_op():
+    service = SchedulingService(dual_socket_small(), config=_fast_config(), workers=1)
+    with pytest.raises(ProtocolError, match="bad_request: unknown op 'membership'"):
+        asyncio.run(_ask_membership(service))
+
+
+# ----------------------------------------------------------------------
 # end-to-end: detection, migration, respawn through the router
 # ----------------------------------------------------------------------
 
